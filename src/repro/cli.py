@@ -1088,7 +1088,7 @@ def cmd_serve(
     api.shutdown_hook = server.shutdown
     actual_port = server.server_address[1]
     print(f"repro service on http://{host}:{actual_port}")
-    print("routes: /v1/... (unversioned paths kept as legacy aliases)")
+    print("routes: /v1/...")
     print(f"datasets:   {', '.join(manager.dataset_names())}")
     print(f"objectives: {', '.join(registry.names())}")
     if store is not None:

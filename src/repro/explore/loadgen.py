@@ -34,6 +34,7 @@ from repro.explore.policies import make_policy
 from repro.obs import bucket_bounds, histogram_quantile
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError, parse_chaos
+from repro.service.api import API_PREFIX, match_route, route_key
 from repro.service.client import ServiceClient, ServiceClientError
 
 #: Client counters summed across workers into ``totals["resilience"]``.
@@ -48,21 +49,6 @@ _PERCENTILES = (50, 95, 99)
 #: include urllib + socket overhead the server never sees, so agreement
 #: is asserted only up to bucket resolution plus this many milliseconds.
 _CROSSCHECK_OVERHEAD_MS = 25.0
-
-_SESSION_SEGMENT = "/sessions/"
-
-
-def route_template(method: str, prefix: str, path: str) -> str:
-    """Collapse per-session paths onto one route key (``{id}`` placeholder)."""
-    if path.startswith(_SESSION_SEGMENT) and path != _SESSION_SEGMENT:
-        rest = path[len(_SESSION_SEGMENT):]
-        head, _, tail = rest.partition("/")
-        if head:
-            path = _SESSION_SEGMENT + "{id}" + (f"/{tail}" if tail else "")
-    # Query strings vary per request; the route is the path alone.
-    path = path.split("?", 1)[0]
-    return f"{method} {prefix}{path}"
-
 
 class LatencyRecorder:
     """Thread-safe per-route latency samples (seconds) and error counts."""
@@ -125,7 +111,7 @@ class InstrumentedClient(ServiceClient):
         *,
         decode_json: bool = True,
     ):
-        route = route_template(method, self.prefix, path)
+        route = route_key(method, match_route(API_PREFIX + path)[0])
         start = time.perf_counter()
         try:
             # Client-side chaos point: `--chaos "client.request:error:p=..."`

@@ -25,12 +25,12 @@ from repro.errors import DataShapeError
 from repro.feedback import feedback_from_dict
 
 #: Format marker written into every file; bump on breaking changes.
-#: v2 added the typed feedback log (``feedback_log``); v1 files (undo
-#: stack only) are still readable.
+#: Format 2 carries the typed feedback log (``feedback_log``) and the undo
+#: stack (``feedback_groups``); format-1 files are no longer read.
 FORMAT_VERSION = 2
 
 #: Payload versions :func:`session_from_payload` accepts.
-SUPPORTED_FORMATS = (1, 2)
+SUPPORTED_FORMATS = (2,)
 
 
 def data_fingerprint(data: np.ndarray) -> str:
@@ -122,6 +122,11 @@ def session_from_payload(
             f"unsupported session format {payload.get('format')!r} "
             f"(supported: {SUPPORTED_FORMATS})"
         )
+    missing = [
+        key for key in ("feedback_log", "feedback_groups") if key not in payload
+    ]
+    if missing:
+        raise DataShapeError(f"session payload lacks {', '.join(missing)}")
     objective = payload.get("objective", "pca")
     try:
         session = ExplorationSession(
@@ -151,10 +156,8 @@ def session_from_payload(
 
 
 def _restore_feedback_log(payload: dict) -> list:
-    """Rebuild the typed feedback log (v2 payloads; empty for v1 files)."""
+    """Rebuild the typed feedback log."""
     raw = payload.get("feedback_log")
-    if raw is None:
-        return []
     if not isinstance(raw, list):
         raise DataShapeError("feedback_log must be a list of feedback dicts")
     return [feedback_from_dict(item) for item in raw]
@@ -163,38 +166,24 @@ def _restore_feedback_log(payload: dict) -> list:
 def _restore_feedback_groups(
     payload: dict, constraints: list[Constraint]
 ) -> list[tuple[str, int]]:
-    """Rebuild the undo stack saved alongside the constraints.
-
-    Payloads written before feedback groups were persisted lack the key;
-    for those, consecutive constraints sharing a label prefix (the part
-    before the first ``/``) are grouped as one best-effort undo action.
-    """
+    """Rebuild the undo stack saved alongside the constraints."""
     raw = payload.get("feedback_groups")
-    if raw is not None:
-        try:
-            groups = [(str(label), int(count)) for label, count in raw]
-        except (TypeError, ValueError) as exc:
-            raise DataShapeError(
-                f"malformed feedback_groups payload: {exc}"
-            ) from exc
-        # The undo stack may legitimately cover *fewer* constraints than
-        # are stored (constraints added via the model API are saveable but
-        # not undoable, matching live-session semantics); referencing more
-        # than exist is corruption.
-        if any(count < 0 for _, count in groups) or sum(
-            count for _, count in groups
-        ) > len(constraints):
-            raise DataShapeError(
-                "feedback_groups reference more constraints than are stored"
-            )
-        return groups
-    groups = []
-    for c in constraints:
-        prefix = c.label.split("/", 1)[0]
-        if groups and groups[-1][0] == prefix:
-            groups[-1] = (prefix, groups[-1][1] + 1)
-        else:
-            groups.append((prefix, 1))
+    try:
+        groups = [(str(label), int(count)) for label, count in raw]
+    except (TypeError, ValueError) as exc:
+        raise DataShapeError(
+            f"malformed feedback_groups payload: {exc}"
+        ) from exc
+    # The undo stack may legitimately cover *fewer* constraints than are
+    # stored (constraints added via the model API are saveable but not
+    # undoable, matching live-session semantics); referencing more than
+    # exist is corruption.
+    if any(count < 0 for _, count in groups) or sum(
+        count for _, count in groups
+    ) > len(constraints):
+        raise DataShapeError(
+            "feedback_groups reference more constraints than are stored"
+        )
     return groups
 
 

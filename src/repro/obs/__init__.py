@@ -29,7 +29,6 @@ attribute read plus a ``None`` check — the same cost class as a disabled
 from __future__ import annotations
 
 import os
-import re
 import time
 
 from repro import perf
@@ -77,7 +76,6 @@ __all__ = [
     "profiler",
     "read_events",
     "recovery",
-    "route_template",
     "shed",
     "solve_completed",
     "start_profiler",
@@ -88,30 +86,6 @@ __all__ = [
 
 #: HTTP header carrying the trace id in both directions.
 TRACE_HEADER = "X-Repro-Trace-Id"
-
-_SESSION_PATH = re.compile(
-    r"^(?P<prefix>(?:/v1)?)/sessions/(?P<sid>[^/?]+)(?P<rest>/[^?]*)?$"
-)
-
-
-def route_template(method: str, path: str) -> tuple[str, str | None]:
-    """Collapse a request path onto its route key; extract the session id.
-
-    ``GET /v1/sessions/abc123/view?detail=1`` becomes
-    ``("GET /v1/sessions/{id}/view", "abc123")`` — the same route keys
-    the loadgen client records, so client- and server-side latency
-    tables join on route strings directly.
-    """
-    path = path.split("?", 1)[0]
-    if len(path) > 1:
-        path = path.rstrip("/") or "/"
-    match = _SESSION_PATH.match(path)
-    if not match:
-        return f"{method} {path}", None
-    rest = match.group("rest") or ""
-    template = f"{match.group('prefix')}/sessions/{{id}}{rest}"
-    return f"{method} {template}", match.group("sid")
-
 
 class Observability:
     """Process-wide observability state: metrics + event sink + tracing.
@@ -284,7 +258,7 @@ class Observability:
         status: int,
         seconds: float,
         *,
-        route: str | None = None,
+        route: str,
         session_id: str | None = None,
         trace: Trace | None = None,
         trace_id: str | None = None,
@@ -293,10 +267,11 @@ class Observability:
         started: float | None = None,
     ) -> None:
         """Record one finished request: metrics always, one event if a
-        sink is configured (typed ``error`` event for 4xx/5xx)."""
-        if route is None:
-            route, extracted = route_template(method, path)
-            session_id = session_id or extracted
+        sink is configured (typed ``error`` event for 4xx/5xx).
+
+        ``route`` is the caller's route key (see
+        :func:`repro.service.api.route_key`), the metrics label.
+        """
         self._requests.labels(route=route, status=str(status)).inc()
         self._request_duration.labels(route=route).observe(seconds)
         duration_ms = seconds * 1e3
@@ -556,9 +531,15 @@ def feedback_deduplicated() -> None:
         state.record_feedback_deduplicated()
 
 
-def request_envelope(method: str, path: str, trace_id: str | None = None):
+def request_envelope(
+    method: str,
+    path: str,
+    route: str,
+    session_id: str | None = None,
+    trace_id: str | None = None,
+):
     """Context manager tracing + recording one request (see ServiceAPI)."""
-    return _RequestEnvelope(method, path, trace_id)
+    return _RequestEnvelope(method, path, route, session_id, trace_id)
 
 
 class _RequestEnvelope:
@@ -570,13 +551,22 @@ class _RequestEnvelope:
     """
 
     __slots__ = (
-        "method", "path", "trace_id", "trace", "started",
-        "status", "error", "error_kind",
+        "method", "path", "route", "session_id", "trace_id", "trace",
+        "started", "status", "error", "error_kind",
     )
 
-    def __init__(self, method: str, path: str, trace_id: str | None) -> None:
+    def __init__(
+        self,
+        method: str,
+        path: str,
+        route: str,
+        session_id: str | None,
+        trace_id: str | None,
+    ) -> None:
         self.method = method
         self.path = path
+        self.route = route
+        self.session_id = session_id
         self.trace_id = trace_id
         self.trace: Trace | None = None
         self.started = 0.0
@@ -619,6 +609,8 @@ class _RequestEnvelope:
             self.path,
             self.status,
             seconds,
+            route=self.route,
+            session_id=self.session_id,
             trace=self.trace,
             trace_id=self.trace_id,
             error=self.error,

@@ -43,8 +43,8 @@ from .metrics import histogram_quantile
 #: dominate any real exploration loop.
 INTERACTIVITY_BUDGET_SECONDS = 2.0
 
-#: Route key of the projection-view endpoint (matches
-#: :func:`repro.obs.route_template` output and loadgen's client table).
+#: Route key of the projection-view endpoint (as built by
+#: :func:`repro.service.api.route_key`, for server and loadgen tables).
 VIEW_ROUTE = "GET /v1/sessions/{id}/view"
 
 #: Default evaluation windows (seconds).

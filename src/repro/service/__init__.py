@@ -10,7 +10,7 @@ Layering (each stratum usable on its own):
 ``cache``    :class:`SolveCache` — reuse fitted background models
 ``manager``  :class:`SessionManager` — locks, LRU eviction, TTL, resume
 ``api``      :class:`ServiceAPI` — transport-agnostic JSON routing,
-             versioned under ``/v1`` (legacy unversioned aliases kept)
+             every route under ``/v1``
 ``server``   :class:`ReproServer` — ``ThreadingHTTPServer`` front-end
 ``client``   :class:`ServiceClient` — urllib-based Python client
 ``rpc``      length-prefixed JSON frames over Unix sockets (shard link)

@@ -6,8 +6,8 @@ HTTP-shaped request (method, path, query, decoded JSON body) and returns
 :mod:`repro.service.server` is one front-end; tests can call ``dispatch``
 directly without opening a socket.
 
-Routes (canonical, versioned under ``/v1``)
--------------------------------------------
+Routes (all under ``/v1``)
+--------------------------
 ==========  ====================================  ===============================
 Method      Path                                  Meaning
 ==========  ====================================  ===============================
@@ -57,10 +57,6 @@ the JSONL sink; 4xx/5xx responses emit a typed ``error`` event instead.
 The response payloads themselves are byte-identical with observability
 on or off.
 
-Every route is also reachable without the ``/v1`` prefix (legacy alias),
-and ``POST /sessions/{id}/constraints`` — the pre-``/v1`` feedback route —
-keeps working with its original single-item body shape.
-
 The view route accepts ``?objective=<name>`` (rank with a different
 registered objective) and ``?detail=1`` (include ``row_surprise`` and
 ``projected`` alongside ``knowledge_nats`` — the observation payload
@@ -72,22 +68,26 @@ each item is the ``to_dict`` form of a :mod:`repro.feedback` object, e.g.
 batch is validated before anything is applied, applies atomically, and
 costs at most one background-model fit.
 
-A known ``/v1`` path hit with the wrong method answers ``405`` with the
-allowed methods in the payload's ``"allow"`` list; unknown paths — and
-wrong-method hits on the legacy unversioned aliases, which keep their
-historical blanket behaviour — answer ``404``.
+A known path hit with the wrong method answers ``405`` with the allowed
+methods in the payload's ``"allow"`` list; any other path, including one
+without the ``/v1`` prefix, answers ``404``.
+
+:func:`match_route` is the one parser of request paths: the API, the
+sharded :class:`~repro.service.router.Router`, the HTTP server's
+pre-dispatch rejections and the load generator all take their route key
+and session id from it, so client- and server-side latency tables join on
+the same strings and unmatched paths share one metrics label per method.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 
 import numpy as np
 
 from repro import obs, perf
 from repro.errors import ConstraintError, DataShapeError, ReproError
-from repro.feedback import feedback_batch_from_payload, feedback_from_dict
+from repro.feedback import feedback_batch_from_payload
 from repro.projection import registry
 from repro.projection.view import Projection2D
 from repro.resilience import chaos
@@ -110,27 +110,77 @@ from repro.service.store import (
     StoreError,
 )
 
-#: Version prefix of the canonical routes.
+#: Version of the route table; every route lives under ``API_PREFIX``.
 API_VERSION = "v1"
+API_PREFIX = f"/{API_VERSION}"
 
 #: HTTP request headers the transport forwards into ``dispatch``.
 DEADLINE_HEADER = "X-Repro-Deadline-Ms"
 IDEMPOTENCY_HEADER = "Idempotency-Key"
 
-#: Normalized paths that bypass admission control and deadlines: an
+#: Routes without a session id.  ``/v1/workers`` is answered by the
+#: sharded router only; a single-process API answers it ``404``.
+COLLECTION_ROUTES = frozenset(
+    API_PREFIX + path
+    for path in (
+        "/health",
+        "/datasets",
+        "/objectives",
+        "/stats",
+        "/metrics",
+        "/metrics/history",
+        "/profile",
+        "/admin/drain",
+        "/sessions",
+        "/workers",
+    )
+)
+
+#: Per-session routes ``/v1/sessions/{id}[/<action>]``, by action.
+_SESSION_PREFIX = API_PREFIX + "/sessions/"
+_SESSION_ACTIONS = frozenset({"", "view", "feedback", "undo", "checkpoint"})
+
+#: Route templates that bypass admission control and deadlines: an
 #: overloaded or draining server must stay observable and steerable.
-_EXEMPT_PATHS = frozenset(
-    {
+EXEMPT_ROUTES = frozenset(
+    API_PREFIX + path
+    for path in (
         "/health",
         "/metrics",
         "/metrics/history",
         "/profile",
         "/stats",
         "/admin/drain",
-    }
+    )
 )
 
-_SESSION_PATH = re.compile(r"^/sessions/(?P<sid>[^/]+)(?P<rest>(?:/[^/]+)?)$")
+#: Route label of every request whose path matches no route, so probes of
+#: random paths cannot grow the per-route metrics without bound.
+UNMATCHED_ROUTE = "{unmatched}"
+
+
+def match_route(path: str) -> tuple[str | None, str | None]:
+    """``(route template, session id)`` of a request path.
+
+    ``/v1/sessions/abc123/view?detail=1`` gives
+    ``("/v1/sessions/{id}/view", "abc123")``; a path that matches no
+    route gives ``(None, None)``.
+    """
+    path = path.split("?", 1)[0].rstrip("/") or "/"
+    if path in COLLECTION_ROUTES:
+        return path, None
+    if path.startswith(_SESSION_PREFIX):
+        sid, _, action = path[len(_SESSION_PREFIX):].partition("/")
+        if sid and action in _SESSION_ACTIONS:
+            suffix = f"/{action}" if action else ""
+            return f"{_SESSION_PREFIX}{{id}}{suffix}", sid
+    return None, None
+
+
+def route_key(method: str, template: str | None) -> str:
+    """Metrics/latency-table key of a request: ``"GET /v1/sessions/{id}"``."""
+    return f"{method} {template or UNMATCHED_ROUTE}"
+
 
 #: Per-thread request context: carries the idempotency key from
 #: ``dispatch`` down to the feedback handler without widening every
@@ -220,6 +270,30 @@ class ServiceAPI:
         # checkpointing, to stop the HTTP server / exit the process.
         self.shutdown_hook = None
         self.last_drain: dict | None = None
+        # Route template -> method -> handler.  Collection handlers take
+        # (body, query); per-session handlers take (sid, body, query).
+        self._routes = {
+            f"{API_PREFIX}/health": {"GET": self._health},
+            f"{API_PREFIX}/datasets": {"GET": self._datasets},
+            f"{API_PREFIX}/objectives": {"GET": self._objectives},
+            f"{API_PREFIX}/stats": {"GET": self._stats},
+            f"{API_PREFIX}/metrics": {"GET": self._metrics},
+            f"{API_PREFIX}/metrics/history": {"GET": self._metrics_history},
+            f"{API_PREFIX}/profile": {"GET": self._profile},
+            f"{API_PREFIX}/admin/drain": {"POST": self._admin_drain},
+            f"{API_PREFIX}/sessions": {
+                "GET": self._list_sessions,
+                "POST": self._create_session,
+            },
+            f"{_SESSION_PREFIX}{{id}}": {
+                "GET": self._session_status,
+                "DELETE": self._delete_session,
+            },
+            f"{_SESSION_PREFIX}{{id}}/view": {"GET": self._view},
+            f"{_SESSION_PREFIX}{{id}}/feedback": {"POST": self._feedback},
+            f"{_SESSION_PREFIX}{{id}}/undo": {"POST": self._undo},
+            f"{_SESSION_PREFIX}{{id}}/checkpoint": {"POST": self._checkpoint},
+        }
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -251,15 +325,17 @@ class ServiceAPI:
         query = query if query is not None else {}
         method = method.upper()
         perf.add("api.requests")
+        template, sid = match_route(path)
         if obs.active() is None:
             status, payload, _kind = self._dispatch(
-                method, path, body, query,
+                method, path, template, sid, body, query,
                 deadline_ms=deadline_ms, idempotency_key=idempotency_key,
             )
             return status, payload
-        with obs.request_envelope(method, path, trace_id) as req:
+        route = route_key(method, template)
+        with obs.request_envelope(method, path, route, sid, trace_id) as req:
             status, payload, kind = self._dispatch(
-                method, path, body, query,
+                method, path, template, sid, body, query,
                 deadline_ms=deadline_ms, idempotency_key=idempotency_key,
             )
             error = payload.get("error") if isinstance(payload, dict) else None
@@ -270,6 +346,8 @@ class ServiceAPI:
         self,
         method: str,
         path: str,
+        template: str | None,
+        sid: str | None,
         body: dict,
         query: dict,
         deadline_ms: float | None = None,
@@ -287,9 +365,8 @@ class ServiceAPI:
         can emit a ``Retry-After`` header.
         """
         try:
-            normalized, versioned = self._strip_version(path.rstrip("/") or "/")
             chaos.hit("api.dispatch")
-            handlers = self._handlers_for(normalized)
+            handlers = self._routes.get(template)
             if handlers is None:
                 return (
                     404,
@@ -298,34 +375,26 @@ class ServiceAPI:
                 )
             handler = handlers.get(method)
             if handler is None:
-                if versioned:
-                    allow = sorted(handlers)
-                    return (
-                        405,
-                        {
-                            "error": f"method {method} not allowed for {path}",
-                            "allow": allow,
-                        },
-                        "method_not_allowed",
-                    )
-                # Legacy aliases keep their historical blanket 404 so
-                # pre-/v1 clients see byte-identical error behaviour.
                 return (
-                    404,
-                    {"error": f"no route {method} {path}"},
-                    "unknown_route",
+                    405,
+                    {
+                        "error": f"method {method} not allowed for {path}",
+                        "allow": sorted(handlers),
+                    },
+                    "method_not_allowed",
                 )
-            exempt = normalized in _EXEMPT_PATHS
+            exempt = template in EXEMPT_ROUTES
             budget = (
                 deadline_ms
                 if deadline_ms is not None
                 else self.default_deadline_ms
             )
+            args = (body, query) if sid is None else (sid, body, query)
             _request_ctx.idempotency_key = idempotency_key
             try:
                 with self.admission.admit(exempt=exempt):
                     with deadline_scope(None if exempt else budget):
-                        status, payload = handler(body, query)
+                        status, payload = handler(*args)
             finally:
                 _request_ctx.idempotency_key = None
             return status, payload, None
@@ -404,66 +473,14 @@ class ServiceAPI:
                 "internal_error",
             )
 
-    @staticmethod
-    def _strip_version(path: str) -> tuple[str, bool]:
-        """``/v1/...`` and legacy unversioned paths share one route table.
-
-        Returns ``(normalized_path, was_versioned)``.
-        """
-        prefix = f"/{API_VERSION}"
-        if path == prefix:
-            return "/", True
-        if path.startswith(prefix + "/"):
-            return path[len(prefix):], True
-        return path, False
-
-    def _handlers_for(self, path: str) -> dict | None:
-        """Method->handler table for one normalized path (None = 404)."""
-        flat = {
-            "/health": {"GET": self._health},
-            "/datasets": {"GET": self._datasets},
-            "/objectives": {"GET": self._objectives},
-            "/stats": {"GET": self._stats},
-            "/metrics": {"GET": self._metrics},
-            "/metrics/history": {"GET": self._metrics_history},
-            "/profile": {"GET": self._profile},
-            "/admin/drain": {"POST": self._admin_drain},
-            "/sessions": {
-                "GET": self._list_sessions,
-                "POST": self._create_session,
-            },
-        }
-        if path in flat:
-            return flat[path]
-        match = _SESSION_PATH.match(path)
-        if not match:
-            return None
-        sid = match.group("sid")
-        rest = match.group("rest")
-        per_session = {
-            "": {"GET": self._session_status, "DELETE": self._delete_session},
-            "/view": {"GET": self._view},
-            "/feedback": {"POST": self._feedback},
-            "/constraints": {"POST": self._constraints},
-            "/undo": {"POST": self._undo},
-            "/checkpoint": {"POST": self._checkpoint},
-        }
-        table = per_session.get(rest)
-        if table is None:
-            return None
-        return {
-            method: (lambda body, query, h=handler: h(sid, body, query))
-            for method, handler in table.items()
-        }
-
     # ------------------------------------------------------------------
     # Collection endpoints
     # ------------------------------------------------------------------
 
     def _health(self, body: dict, query: dict) -> tuple[int, dict]:
-        # Payload kept exactly as in the unversioned API (clients assert
-        # on it) — the SLO extension below only applies when the engine
-        # is explicitly enabled (repro serve --obs).
+        # Payload kept exactly ``{"status": "ok"}`` (clients assert on
+        # it) — the SLO extension below only applies when the engine is
+        # explicitly enabled (repro serve --obs).
         state = obs.active()
         if state is not None and state.slo is not None:
             report = state.slo_report()
@@ -646,19 +663,6 @@ class ServiceAPI:
         key = getattr(_request_ctx, "idempotency_key", None)
         stats = self.manager.apply_feedback(sid, batch, idempotency_key=key)
         return 200, stats
-
-    def _constraints(
-        self, sid: str, body: dict, query: dict
-    ) -> tuple[int, dict]:
-        """Legacy single-item feedback route (pre-``/v1`` body shape)."""
-        item = feedback_from_dict(
-            {
-                "kind": body.get("kind", "cluster"),
-                "rows": body.get("rows", []),
-                "label": str(body.get("label", "")),
-            }
-        )
-        return 200, self.manager.apply_feedback(sid, [item])
 
     def _undo(self, sid: str, body: dict, query: dict) -> tuple[int, dict]:
         label = self.manager.undo(sid)

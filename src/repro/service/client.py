@@ -1,9 +1,10 @@
 """Python client for the repro session service.
 
 A thin, dependency-free wrapper over :mod:`urllib.request` that mirrors
-the versioned ``/v1`` HTTP API one method per route.  Used by the tests,
-the examples and the throughput benchmark; it is also the reference for
-writing clients in other languages (every payload is plain JSON).
+the ``/v1`` HTTP API one method per route; every request path is joined
+under ``/v1``.  Used by the tests, the examples and the throughput
+benchmark; it is also the reference for writing clients in other
+languages (every payload is plain JSON).
 
 >>> client = ServiceClient("http://127.0.0.1:8000")      # doctest: +SKIP
 >>> sid = client.create_session("three-d")               # doctest: +SKIP
@@ -38,7 +39,7 @@ from repro.resilience.retry import (
     breaker_for,
     classify,
 )
-from repro.service.api import DEADLINE_HEADER, IDEMPOTENCY_HEADER
+from repro.service.api import API_PREFIX, DEADLINE_HEADER, IDEMPOTENCY_HEADER
 
 
 class ServiceClientError(ReproError):
@@ -92,9 +93,6 @@ class ServiceClient:
         e.g. ``"http://127.0.0.1:8000"`` (trailing slash optional).
     timeout:
         Per-request socket timeout in seconds.
-    api_version:
-        Route-prefix version; ``"v1"`` (default) talks to the versioned
-        routes, ``None`` falls back to the legacy unversioned aliases.
     connect_retries:
         How many times a connection-refused request is retried before
         giving up.  This bridges the race between launching a server and
@@ -139,7 +137,6 @@ class ServiceClient:
         self,
         base_url: str,
         timeout: float = 30.0,
-        api_version: str | None = "v1",
         connect_retries: int = 3,
         retry_delay: float = 0.1,
         max_retries: int = 2,
@@ -151,7 +148,6 @@ class ServiceClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.prefix = f"/{api_version}" if api_version else ""
         if connect_retries < 0:
             raise ValueError(
                 f"connect_retries must be non-negative, got {connect_retries}"
@@ -297,7 +293,7 @@ class ServiceClient:
             # makes retrying an ambiguous feedback failure exactly-once.
             headers[IDEMPOTENCY_HEADER] = self._pending_idem_key
         request = urllib.request.Request(
-            self.base_url + self.prefix + path,
+            self.base_url + API_PREFIX + path,
             data=data,
             method=method,
             headers=headers,
@@ -504,33 +500,20 @@ class ServiceClient:
             self.counters["dedup"] += 1
         return stats
 
-    def _single_feedback(self, session_id: str, feedback: Feedback) -> dict:
-        """One feedback item, routed per API version.
-
-        In legacy mode (``api_version=None``) this posts the pre-``/v1``
-        ``/constraints`` body shape, so the client stays compatible with
-        servers that predate the batch endpoint.
-        """
-        if self.prefix:
-            return self.apply_feedback(session_id, [feedback])
-        return self._request(
-            "POST", f"/sessions/{session_id}/constraints", feedback.to_dict()
-        )
-
     def mark_cluster(
         self, session_id: str, rows: Sequence[int], label: str = ""
     ) -> dict:
         """Post "these points form a cluster" feedback (one-item batch)."""
-        return self._single_feedback(
-            session_id, ClusterFeedback(rows=rows, label=label)
+        return self.apply_feedback(
+            session_id, [ClusterFeedback(rows=rows, label=label)]
         )
 
     def mark_view_selection(
         self, session_id: str, rows: Sequence[int], label: str = ""
     ) -> dict:
         """Post feedback along the session's current view axes."""
-        return self._single_feedback(
-            session_id, ViewSelectionFeedback(rows=rows, label=label)
+        return self.apply_feedback(
+            session_id, [ViewSelectionFeedback(rows=rows, label=label)]
         )
 
     def undo(self, session_id: str) -> str | None:

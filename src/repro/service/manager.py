@@ -21,6 +21,8 @@ library's single-session loop it adds exactly what a server needs:
 
 Everything here is transport-agnostic; the HTTP layer in
 :mod:`repro.service.api` is a thin JSON veneer over these methods.
+Feedback enters a session only as a typed :mod:`repro.feedback` batch
+through :meth:`SessionManager.apply_feedback`.
 
 Known limits (follow-up PRs):
 
@@ -56,11 +58,7 @@ import numpy as np
 from repro import obs, perf
 from repro.core.session import ExplorationSession
 from repro.errors import ReproError
-from repro.feedback import (
-    ClusterFeedback,
-    Feedback,
-    ViewSelectionFeedback,
-)
+from repro.feedback import Feedback, ViewSelectionFeedback
 from repro.io import data_fingerprint, session_from_payload, session_to_payload
 from repro.projection.view import Projection2D
 from repro.service.cache import SolveCache
@@ -782,41 +780,6 @@ class SessionManager:
                 self._checkpoint_entry(entry)
             except StoreError:
                 pass  # the batch is durable in the log; fold on a later pass
-
-    def mark_cluster(
-        self,
-        session_id: str,
-        rows: Sequence[int] | np.ndarray,
-        label: str = "",
-    ) -> dict:
-        """Post "these points form a cluster" feedback to one session.
-
-        Thin wrapper over :meth:`apply_feedback`, kept for callers of the
-        pre-vocabulary API.
-        """
-        return self.apply_feedback(
-            session_id,
-            [ClusterFeedback(rows=rows, label=label)],
-        )
-
-    def mark_view_selection(
-        self,
-        session_id: str,
-        rows: Sequence[int] | np.ndarray,
-        label: str = "",
-    ) -> dict:
-        """Post feedback along the session's current view axes.
-
-        Thin wrapper over :meth:`apply_feedback`.
-        """
-        return self.apply_feedback(
-            session_id,
-            [
-                ViewSelectionFeedback(
-                    rows=rows, label=label
-                )
-            ],
-        )
 
     def undo(self, session_id: str) -> str | None:
         """Retract the session's most recent feedback action.

@@ -48,10 +48,10 @@ from repro.resilience.admission import (
 )
 from repro.resilience.drain import DEFAULT_DRAIN_BUDGET
 from repro.service.api import (
-    _EXEMPT_PATHS,
-    _SESSION_PATH,
-    ServiceAPI,
+    API_PREFIX,
+    EXEMPT_ROUTES,
     TextResponse,
+    match_route,
 )
 from repro.service.rpc import RpcClient, RpcConnectionClosed, RpcError
 from repro.service.worker import WorkerConfig, worker_main
@@ -397,6 +397,16 @@ class Router:
         self.reroutes = 0
         self.releases = 0
         self.rpc_errors = 0
+        # Routes the front-end answers itself; everything else is
+        # forwarded to a worker.
+        self._local_routes = {
+            ("GET", f"{API_PREFIX}/health"): self._health,
+            ("GET", f"{API_PREFIX}/metrics"): self._metrics,
+            ("GET", f"{API_PREFIX}/stats"): self._stats,
+            ("GET", f"{API_PREFIX}/workers"): self._workers_route,
+            ("POST", f"{API_PREFIX}/admin/drain"): self._admin_drain,
+            ("GET", f"{API_PREFIX}/sessions"): self._list_sessions,
+        }
 
     # ------------------------------------------------------------------
     # Dispatch (same contract as ServiceAPI.dispatch)
@@ -415,10 +425,8 @@ class Router:
         body = body if body is not None else {}
         query = query if query is not None else {}
         method = method.upper()
-        normalized, _versioned = ServiceAPI._strip_version(
-            path.rstrip("/") or "/"
-        )
-        handler = self._local_routes().get((method, normalized))
+        template, sid = match_route(path)
+        handler = self._local_routes.get((method, template))
         if handler is not None:
             try:
                 return handler(body, query)
@@ -428,13 +436,14 @@ class Router:
                 return 500, {
                     "error": f"internal error: {type(exc).__name__}: {exc}"
                 }
-        exempt = normalized in _EXEMPT_PATHS
+        exempt = template in EXEMPT_ROUTES
         try:
             with self.admission.admit(exempt=exempt):
                 return self._forward(
                     method,
                     path,
-                    normalized,
+                    template,
+                    sid,
                     body,
                     query,
                     trace_id=trace_id,
@@ -464,18 +473,15 @@ class Router:
         self,
         method: str,
         path: str,
-        normalized: str,
+        template: str | None,
+        sid: str | None,
         body: dict,
         query: dict,
         trace_id: str | None,
         deadline_ms: float | None,
         idempotency_key: str | None,
     ) -> tuple[int, dict]:
-        match = _SESSION_PATH.match(normalized)
-        sid: str | None = None
-        if match:
-            sid = match.group("sid")
-        elif method == "POST" and normalized == "/sessions":
+        if method == "POST" and template == f"{API_PREFIX}/sessions":
             # The router must know the session id before it can pick a
             # worker, so ids are minted here when the client supplied
             # none — the worker then creates the session under this id.
@@ -638,16 +644,6 @@ class Router:
     # ------------------------------------------------------------------
     # Front-end routes
     # ------------------------------------------------------------------
-
-    def _local_routes(self):
-        return {
-            ("GET", "/health"): self._health,
-            ("GET", "/metrics"): self._metrics,
-            ("GET", "/stats"): self._stats,
-            ("GET", "/workers"): self._workers_route,
-            ("POST", "/admin/drain"): self._admin_drain,
-            ("GET", "/sessions"): self._list_sessions,
-        }
 
     def _health(self, body: dict, query: dict) -> tuple[int, dict]:
         live = self.pool.live_ids()

@@ -29,6 +29,8 @@ from repro.service.api import (
     DEADLINE_HEADER,
     IDEMPOTENCY_HEADER,
     ServiceAPI,
+    match_route,
+    route_key,
 )
 from repro.service.manager import SessionManager
 
@@ -59,7 +61,22 @@ class _RequestHandler(BaseHTTPRequestHandler):
         parsed = urlsplit(self.path)
         query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
         body = None
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            # The body's extent is unknown, so the stream cannot be
+            # resynchronised: answer without reading and close.
+            self.close_connection = True
+            self._reject(
+                state,
+                started,
+                method,
+                parsed.path,
+                400,
+                f"invalid Content-Length header: {raw_length!r}",
+                "bad_request",
+            )
+            return
+        length = int(raw_length)
         max_bytes = self.server.max_body_bytes  # type: ignore[attr-defined]
         if max_bytes is not None and length > max_bytes:
             # Reject without reading; the unread body would poison the
@@ -143,11 +160,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
         that has seen the error can rely on the event being in the log.
         """
         if state is not None:
+            template, sid = match_route(path)
             state.observe_request(
                 method,
                 path,
                 status,
                 time.perf_counter() - started,
+                route=route_key(method, template),
+                session_id=sid,
                 trace_id=self._trace_id,
                 error=message,
                 error_kind=kind,

@@ -6,6 +6,11 @@ import pytest
 from repro.core.background import BackgroundModel
 from repro.core.session import ExplorationSession
 from repro.errors import DataShapeError
+from repro.feedback import (
+    ClusterFeedback,
+    MarginFeedback,
+    ViewSelectionFeedback,
+)
 from repro.ui.app import SiderApp
 
 
@@ -51,11 +56,11 @@ class TestSessionUndo:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="keep")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="keep"))
         view_after_first = session.current_view()
         scores_after_first = np.abs(view_after_first.scores).copy()
 
-        session.mark_cluster(np.flatnonzero(labels == 1), label="oops")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1), label="oops"))
         session.current_view()
         undone = session.undo_last_feedback()
         assert undone == "oops"
@@ -72,8 +77,8 @@ class TestSessionUndo:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0))
-        session.mark_cluster(np.flatnonzero(labels == 1))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0)))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1)))
         session.undo_last_feedback()
         session.undo_last_feedback()
         session.current_view()
@@ -82,10 +87,10 @@ class TestSessionUndo:
 
     def test_undo_mixed_action_kinds(self, gaussian_data):
         session = ExplorationSession(gaussian_data, seed=0)
-        session.assume_margins()
+        session.apply(MarginFeedback())
         n_margins = session.model.n_constraints
         session.current_view()
-        session.mark_view_selection([0, 1, 2], label="sel")
+        session.apply(ViewSelectionFeedback(rows=[0, 1, 2], label="sel"))
         assert session.model.n_constraints == n_margins + 4
         assert session.undo_last_feedback() == "sel"
         assert session.model.n_constraints == n_margins
@@ -96,7 +101,9 @@ class TestSessionUndo:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="mistake")
+        session.apply(
+            ClusterFeedback(rows=np.flatnonzero(labels == 0), label="mistake")
+        )
         session.undo_last_feedback()
         assert all(
             "mistake" not in record.constraints_added

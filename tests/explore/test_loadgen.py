@@ -8,34 +8,43 @@ from repro.explore.loadgen import (
     LatencyRecorder,
     LoadGenConfig,
     format_report,
-    route_template,
     run_loadgen,
     write_report,
 )
 from repro.service import SessionManager
+from repro.service.api import match_route, route_key
 from repro.service.server import start_background
+
+
+def route_template(method, path):
+    """The route key loadgen and the server both record a request under."""
+    return route_key(method, match_route(path)[0])
 
 
 class TestRouteTemplate:
     def test_session_paths_collapse(self):
         assert (
-            route_template("GET", "/v1", "/sessions/abc123/view")
+            route_template("GET", "/v1/sessions/abc123/view")
             == "GET /v1/sessions/{id}/view"
         )
         assert (
-            route_template("DELETE", "/v1", "/sessions/abc123")
+            route_template("DELETE", "/v1/sessions/abc123")
             == "DELETE /v1/sessions/{id}"
         )
 
     def test_collection_paths_untouched(self):
-        assert route_template("POST", "/v1", "/sessions") == "POST /v1/sessions"
-        assert route_template("GET", "/v1", "/stats") == "GET /v1/stats"
+        assert route_template("POST", "/v1/sessions") == "POST /v1/sessions"
+        assert route_template("GET", "/v1/stats") == "GET /v1/stats"
 
     def test_query_strings_stripped(self):
         assert (
-            route_template("GET", "/v1", "/sessions/x/view?detail=1")
+            route_template("GET", "/v1/sessions/x/view?detail=1")
             == "GET /v1/sessions/{id}/view"
         )
+
+    def test_unmatched_paths_share_one_key(self):
+        for path in ("/sessions/x/view", "/v1/sessions/x/nope", "/v1/x", "/"):
+            assert route_template("GET", path) == "GET {unmatched}"
 
 
 class TestLatencyRecorder:

@@ -9,6 +9,7 @@ class as a disabled ``perf.add``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
 import time
@@ -254,6 +255,53 @@ class TestMetricsEndpoint:
         gauge = families["repro_sessions_in_memory"]["samples"][0]
         assert gauge["value"] == 1.0
 
+    def test_unmatched_paths_share_one_route_label(self, live):
+        server, client, manager, state, path = live
+        host, port = server.server_address[:2]
+        rng = np.random.default_rng(11)
+
+        def probe(count):
+            for _ in range(count):
+                junk = "/".join(
+                    rng.choice(list("abcxyz019"), size=rng.integers(1, 12))
+                )
+                # Dispatched (404) and rejected before dispatch (400).
+                for method, target, body in (
+                    ("GET", f"/{junk}", None),
+                    ("GET", f"/v1/sessions/{junk}/nope", None),
+                    ("POST", f"/{junk}", b"{not json"),
+                ):
+                    # A fresh connection per request sidesteps the
+                    # keep-alive delayed-ACK stall.
+                    conn = http.client.HTTPConnection(host, port, timeout=10)
+                    try:
+                        conn.request(method, target, body=body)
+                        resp = conn.getresponse()
+                        resp.read()
+                        assert resp.status in (400, 404)
+                    finally:
+                        conn.close()
+
+        def series():
+            families = parse_prometheus(state.metrics.render_prometheus())
+            return {
+                name: {
+                    tuple(sorted(s["labels"].items()))
+                    for s in families[name]["samples"]
+                }
+                for name in (
+                    "repro_requests_total",
+                    "repro_request_duration_seconds",
+                )
+            }
+
+        probe(3)
+        before = series()
+        probe(150)
+        assert series() == before
+        routes = {dict(k)["route"] for k in before["repro_requests_total"]}
+        assert routes == {"GET {unmatched}", "POST {unmatched}"}
+
     def test_content_type_is_prometheus_text(self, live):
         server, client, manager, state, path = live
         with urllib.request.urlopen(server.base_url + "/v1/metrics") as resp:
@@ -340,7 +388,7 @@ class TestDirectDispatch:
     def test_envelope_records_escaped_exceptions(self, obs_log):
         state, path = obs_log
         with pytest.raises(RuntimeError):
-            with obs.request_envelope("GET", "/v1/boom"):
+            with obs.request_envelope("GET", "/v1/boom", "GET {unmatched}"):
                 raise RuntimeError("handler bug")
         event = _events(path)[-1]
         assert event["status"] == 500

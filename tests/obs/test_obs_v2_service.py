@@ -42,7 +42,7 @@ def _api(data):
 class TestHealthContract:
     def test_plain_obs_keeps_exact_ok_payload(self, data):
         obs.configure()
-        assert _api(data).dispatch("GET", "/health") == (
+        assert _api(data).dispatch("GET", "/v1/health") == (
             200, {"status": "ok"}
         )
 
@@ -50,7 +50,7 @@ class TestHealthContract:
         state = obs.configure(slos=True)
         api = _api(data)
         state.history.sample()
-        status, payload = api.dispatch("GET", "/health")
+        status, payload = api.dispatch("GET", "/v1/health")
         assert status == 200
         assert payload["status"] in ("ready", "degraded", "violating")
         names = {row["name"] for row in payload["slos"]}
@@ -61,18 +61,18 @@ class TestHealthContract:
 class TestMetricsHistory:
     def test_disabled_marker_without_recorder(self, data):
         obs.configure()  # metrics on, history off
-        status, payload = _api(data).dispatch("GET", "/metrics/history")
+        status, payload = _api(data).dispatch("GET", "/v1/metrics/history")
         assert status == 200
         assert payload == {"enabled": False, "samples": []}
 
     def test_enabled_serves_samples_and_derivation(self, data):
         state = obs.configure(history=True, history_interval=3600.0)
         api = _api(data)
-        api.dispatch("GET", "/datasets")
+        api.dispatch("GET", "/v1/datasets")
         state.history.sample()
-        api.dispatch("GET", "/datasets")
+        api.dispatch("GET", "/v1/datasets")
         state.history.sample()
-        status, payload = api.dispatch("GET", "/metrics/history")
+        status, payload = api.dispatch("GET", "/v1/metrics/history")
         assert status == 200
         assert payload["enabled"] is True
         assert payload["interval_seconds"] == 3600.0
@@ -91,11 +91,11 @@ class TestMetricsHistory:
         state.history.sample()
         state.history.sample()
         _, payload = api.dispatch(
-            "GET", "/metrics/history", query={"derive": "0"}
+            "GET", "/v1/metrics/history", query={"derive": "0"}
         )
         assert "derived" not in payload
         _, payload = api.dispatch(
-            "GET", "/metrics/history", query={"seconds": "0.0001"}
+            "GET", "/v1/metrics/history", query={"seconds": "0.0001"}
         )
         assert payload["enabled"] is True
         assert len(payload["samples"]) >= 1  # newest sample always kept
@@ -104,11 +104,11 @@ class TestMetricsHistory:
 class TestProfileEndpoint:
     def test_disabled_marker_in_both_formats(self, data):
         api = _api(data)
-        status, payload = api.dispatch("GET", "/profile")
+        status, payload = api.dispatch("GET", "/v1/profile")
         assert status == 200
         assert "disabled" in str(payload)
         status, payload = api.dispatch(
-            "GET", "/profile", query={"format": "json"}
+            "GET", "/v1/profile", query={"format": "json"}
         )
         assert payload["enabled"] is False
 
@@ -120,14 +120,14 @@ class TestProfileEndpoint:
             obs.profiler().samples == 0
             and time.perf_counter() < deadline
         ):
-            api.dispatch("GET", "/datasets")
+            api.dispatch("GET", "/v1/datasets")
         status, payload = api.dispatch(
-            "GET", "/profile", query={"format": "json"}
+            "GET", "/v1/profile", query={"format": "json"}
         )
         assert status == 200
         assert payload["enabled"] is True
         assert payload["samples"] >= 1
-        status, text = api.dispatch("GET", "/profile")
+        status, text = api.dispatch("GET", "/v1/profile")
         assert status == 200
         assert text.content_type.startswith("text/plain")
 
@@ -187,7 +187,7 @@ class TestSlowRequestExemplar:
         deadline = time.perf_counter() + 5.0
         event = None
         while time.perf_counter() < deadline:
-            api.dispatch("POST", "/sessions", {"dataset": "demo"})
+            api.dispatch("POST", "/v1/sessions", {"dataset": "demo"})
             events = [
                 e for e in obs.read_events(path) if e.get("profile")
             ]

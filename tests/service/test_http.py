@@ -20,18 +20,18 @@ class TestDispatch:
     """Route-level behaviour, no sockets involved."""
 
     def test_health_and_datasets(self, api):
-        assert api.dispatch("GET", "/health") == (200, {"status": "ok"})
-        assert api.dispatch("GET", "/datasets")[1] == {"datasets": ["two"]}
+        assert api.dispatch("GET", "/v1/health") == (200, {"status": "ok"})
+        assert api.dispatch("GET", "/v1/datasets")[1] == {"datasets": ["two"]}
 
     def test_create_view_constrain_cycle(self, api, two_cluster_data):
         _, labels = two_cluster_data
         status, created = api.dispatch(
-            "POST", "/sessions", body={"dataset": "two"}
+            "POST", "/v1/sessions", body={"dataset": "two"}
         )
         assert status == 201
         sid = created["session_id"]
 
-        status, view = api.dispatch("GET", f"/sessions/{sid}/view")
+        status, view = api.dispatch("GET", f"/v1/sessions/{sid}/view")
         assert status == 200
         assert len(view["axes"]) == 2
         assert view["iteration"] == 0
@@ -39,57 +39,59 @@ class TestDispatch:
         rows = [int(r) for r in np.flatnonzero(labels == 0)]
         status, stats = api.dispatch(
             "POST",
-            f"/sessions/{sid}/constraints",
-            body={"kind": "cluster", "rows": rows, "label": "left"},
+            f"/v1/sessions/{sid}/feedback",
+            body={"feedback": [{"kind": "cluster", "rows": rows, "label": "left"}]},
         )
         assert status == 200
         assert stats["feedback"] == ["left"]
 
-        status, view2 = api.dispatch("GET", f"/sessions/{sid}/view")
+        status, view2 = api.dispatch("GET", f"/v1/sessions/{sid}/view")
         assert view2["top_score"] != view["top_score"]
 
-        status, undone = api.dispatch("POST", f"/sessions/{sid}/undo")
+        status, undone = api.dispatch("POST", f"/v1/sessions/{sid}/undo")
         assert (status, undone["undone"]) == (200, "left")
 
     def test_unknown_session_404(self, api):
-        assert api.dispatch("GET", "/sessions/missing/view")[0] == 404
-        assert api.dispatch("DELETE", "/sessions/missing")[0] == 404
+        assert api.dispatch("GET", "/v1/sessions/missing/view")[0] == 404
+        assert api.dispatch("DELETE", "/v1/sessions/missing")[0] == 404
 
     def test_unknown_dataset_404(self, api):
         status, payload = api.dispatch(
-            "POST", "/sessions", body={"dataset": "nope"}
+            "POST", "/v1/sessions", body={"dataset": "nope"}
         )
         assert status == 404
         assert "unknown dataset" in payload["error"]
 
     def test_bad_requests_400(self, api):
-        sid = api.dispatch("POST", "/sessions", body={"dataset": "two"})[1][
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
             "session_id"
         ]
-        assert api.dispatch("POST", "/sessions", body={})[0] == 400
+        assert api.dispatch("POST", "/v1/sessions", body={})[0] == 400
         assert (
             api.dispatch(
-                "POST", "/sessions", body={"dataset": "two", "objective": "x"}
-            )[0]
-            == 400
-        )
-        assert (
-            api.dispatch(
-                "POST", f"/sessions/{sid}/constraints", body={"rows": []}
+                "POST", "/v1/sessions", body={"dataset": "two", "objective": "x"}
             )[0]
             == 400
         )
         assert (
             api.dispatch(
                 "POST",
-                f"/sessions/{sid}/constraints",
-                body={"kind": "bogus", "rows": [1]},
+                f"/v1/sessions/{sid}/feedback",
+                body={"feedback": [{"kind": "cluster", "rows": []}]},
             )[0]
             == 400
         )
         assert (
             api.dispatch(
-                "GET", f"/sessions/{sid}/view", query={"objective": "bad"}
+                "POST",
+                f"/v1/sessions/{sid}/feedback",
+                body={"feedback": [{"kind": "bogus", "rows": [1]}]},
+            )[0]
+            == 400
+        )
+        assert (
+            api.dispatch(
+                "GET", f"/v1/sessions/{sid}/view", query={"objective": "bad"}
             )[0]
             == 400
         )
@@ -98,26 +100,28 @@ class TestDispatch:
         # JSON parses 1e999 as float('inf'); int() then raises
         # OverflowError, which must surface as a 400 JSON error rather
         # than escaping the dispatcher.
-        sid = api.dispatch("POST", "/sessions", body={"dataset": "two"})[1][
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
             "session_id"
         ]
         status, payload = api.dispatch(
             "POST",
-            f"/sessions/{sid}/constraints",
-            body={"kind": "cluster", "rows": [float("inf")]},
+            f"/v1/sessions/{sid}/feedback",
+            body={"feedback": [{"kind": "cluster", "rows": [float("inf")]}]},
         )
         assert status == 400
         assert "error" in payload
 
     def test_duplicate_session_409(self, api):
         body = {"dataset": "two", "session_id": "dup"}
-        assert api.dispatch("POST", "/sessions", body=body)[0] == 201
-        assert api.dispatch("POST", "/sessions", body=body)[0] == 409
+        assert api.dispatch("POST", "/v1/sessions", body=body)[0] == 201
+        assert api.dispatch("POST", "/v1/sessions", body=body)[0] == 409
 
     def test_unknown_route_404(self, api):
         assert api.dispatch("GET", "/bogus")[0] == 404
         assert api.dispatch("PUT", "/sessions")[0] == 404
         assert api.dispatch("GET", "/sessions/a/b/c")[0] == 404
+        assert api.dispatch("GET", "/v1/sessions/a/b/c")[0] == 404
+        assert api.dispatch("GET", "/v1/workers")[0] == 404
 
 
 class TestLiveServer:
@@ -224,7 +228,7 @@ class TestLiveServer:
         server = start_background(SessionManager({"two": data}))
         try:
             request = urllib.request.Request(
-                server.base_url + "/sessions",
+                server.base_url + "/v1/sessions",
                 data=b"{not json",
                 method="POST",
             )
@@ -233,5 +237,40 @@ class TestLiveServer:
             assert err.value.code == 400
             payload = json.loads(err.value.read())
             assert "not JSON" in payload["error"]
+        finally:
+            server.stop()
+
+
+class TestContentLength:
+    """A malformed Content-Length answers 400 without reading the body."""
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_malformed_length_answers_400_and_closes(
+        self, two_cluster_data, value
+    ):
+        import json
+        import socket
+
+        data, _ = two_cluster_data
+        server = start_background(SessionManager({"two": data}))
+        try:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    (
+                        "POST /v1/sessions HTTP/1.1\r\n"
+                        f"Host: {host}\r\n"
+                        f"Content-Length: {value}\r\n"
+                        "\r\n"
+                    ).encode()
+                )
+                # The server closes after the reply, so reading to EOF
+                # returns; a handler blocked on the body would time out.
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400")
+            assert "Content-Length" in json.loads(body)["error"]
         finally:
             server.stop()

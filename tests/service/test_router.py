@@ -165,7 +165,7 @@ class TestRouting:
 class TestLocalRoutes:
     def test_health_reports_fleet_liveness(self, fleet):
         router, _pool, _managers = fleet
-        status, payload = router.dispatch("GET", "/health")
+        status, payload = router.dispatch("GET", "/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["workers"] == {"alive": 3, "total": 3}
@@ -201,7 +201,7 @@ class TestLocalRoutes:
 
     def test_metrics_disabled_renders_placeholder(self, fleet):
         router, _pool, _managers = fleet
-        status, text = router.dispatch("GET", "/metrics")
+        status, text = router.dispatch("GET", "/v1/metrics")
         assert status == 200
         assert "observability disabled" in text
         status, payload = router.dispatch(
@@ -245,7 +245,7 @@ class TestAdmissionAndDrain:
                 assert payload["kind"] == "overloaded"
                 assert payload["retry_after"] > 0
                 # Local routes stay reachable while shedding.
-                assert router.dispatch("GET", "/health")[0] == 200
+                assert router.dispatch("GET", "/v1/health")[0] == 200
             assert router.dispatch(
                 "POST", "/v1/sessions", body={"dataset": "demo"}
             )[0] == 201
@@ -269,7 +269,7 @@ class TestAdmissionAndDrain:
 
     def test_admin_drain_endpoint_accepts(self, fleet):
         router, _pool, _managers = fleet
-        status, payload = router.dispatch("POST", "/admin/drain", body={})
+        status, payload = router.dispatch("POST", "/v1/admin/drain", body={})
         assert status == 202
         assert payload["draining"] is True
 

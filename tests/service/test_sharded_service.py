@@ -212,7 +212,7 @@ class TestCrashMigration:
                 time.sleep(0.1)
             assert router.pool.respawns == 1
             assert router.pool.worker(0).wait_ready(timeout=30.0)
-            status, payload = router.dispatch("GET", "/health")
+            status, payload = router.dispatch("GET", "/v1/health")
             assert status == 200
             assert payload["workers"]["alive"] == 2
         finally:

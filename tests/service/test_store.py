@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.session import ExplorationSession
+from repro.feedback import ClusterFeedback
 from repro.io import session_from_payload, session_to_payload
 from repro.service.store import (
     DirectoryStore,
@@ -90,9 +91,9 @@ class TestSessionRoundtripThroughStore:
     def _explored_session(self, data, labels):
         session = ExplorationSession(data, objective="pca", seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 1), label="right")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1), label="right"))
         return session
 
     def test_constraints_and_undo_history_survive(

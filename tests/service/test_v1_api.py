@@ -3,8 +3,8 @@
 Covers: objective-registry discovery and custom objectives end-to-end
 over HTTP, the batch feedback endpoint (mixed kinds, one fit), 405
 semantics on /v1 routes, feature-name propagation into view payloads,
-and checkpoint/resume of the typed feedback log — all while the legacy
-unversioned routes stay available as aliases.
+and checkpoint/resume of the typed feedback log.  Paths without the
+``/v1`` prefix answer 404.
 """
 
 import numpy as np
@@ -75,12 +75,6 @@ def custom_objective():
 
 
 class TestVersionedRoutes:
-    def test_v1_aliases_match_unversioned(self, api):
-        assert api.dispatch("GET", "/v1/health") == api.dispatch("GET", "/health")
-        assert (
-            api.dispatch("GET", "/v1/datasets") == api.dispatch("GET", "/datasets")
-        )
-
     def test_full_loop_under_v1(self, api, two_cluster_data):
         _, labels = two_cluster_data
         status, created = api.dispatch(
@@ -108,19 +102,36 @@ class TestVersionedRoutes:
         assert {"pca", "ica", "kurtosis", "axis"} <= set(names)
         assert all(row["description"] for row in payload["objectives"])
 
-    def test_legacy_routes_still_work(self, api, two_cluster_data):
-        _, labels = two_cluster_data
-        sid = api.dispatch("POST", "/sessions", body={"dataset": "two"})[1][
+    def test_unversioned_aliases_answer_404(self, api):
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
             "session_id"
         ]
-        rows = [int(r) for r in np.flatnonzero(labels == 0)]
-        status, stats = api.dispatch(
-            "POST",
+        for method, path in (
+            ("GET", "/health"),
+            ("GET", "/datasets"),
+            ("POST", "/sessions"),
+            ("GET", f"/sessions/{sid}/view"),
+            ("POST", f"/sessions/{sid}/feedback"),
+        ):
+            status, payload = api.dispatch(
+                method, path, body={"dataset": "two"}
+            )
+            assert status == 404, (method, path)
+            assert "no route" in payload["error"]
+
+    def test_constraints_route_answers_404(self, api):
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
+            "session_id"
+        ]
+        for path in (
             f"/sessions/{sid}/constraints",
-            body={"kind": "cluster", "rows": rows, "label": "left"},
-        )
-        assert status == 200
-        assert stats["feedback"] == ["left"]
+            f"/v1/sessions/{sid}/constraints",
+        ):
+            status, payload = api.dispatch(
+                "POST", path, body={"rows": [0, 1], "label": "L"}
+            )
+            assert status == 404, path
+            assert "no route" in payload["error"]
 
 
 class TestMethodNotAllowed:
@@ -141,8 +152,18 @@ class TestMethodNotAllowed:
         assert payload["allow"] == ["GET"]
 
     def test_legacy_paths_keep_blanket_404(self, api):
-        # Pre-/v1 behaviour, asserted by the original test suite.
-        assert api.dispatch("PUT", "/sessions")[0] == 404
+        # Paths without /v1 match no route, so no method gets a 405.
+        for method in ("GET", "POST", "PUT", "DELETE"):
+            assert api.dispatch(method, "/sessions")[0] == 404
+
+    def test_every_route_template_round_trips_through_match_route(self, api):
+        from repro.service.api import match_route
+
+        for template in api._routes:
+            path = template.replace("{id}", "abc123")
+            sid = "abc123" if "{id}" in template else None
+            assert match_route(path) == (template, sid)
+            assert match_route(path + "/?x=1") == (template, sid)
 
     def test_unknown_v1_path_still_404(self, api):
         assert api.dispatch("GET", "/v1/bogus")[0] == 404
@@ -250,12 +271,6 @@ class TestCustomObjective:
     def test_unknown_objective_still_400(self, api):
         assert (
             api.dispatch(
-                "POST", "/sessions", body={"dataset": "two", "objective": "x"}
-            )[0]
-            == 400
-        )
-        assert (
-            api.dispatch(
                 "POST", "/v1/sessions", body={"dataset": "two", "objective": "x"}
             )[0]
             == 400
@@ -345,22 +360,17 @@ class TestClientBatch:
         finally:
             server.stop()
 
-
-class TestLegacyClientMode:
-    def test_api_version_none_uses_constraints_route(self, two_cluster_data):
-        """A legacy-mode client must only touch pre-/v1 routes."""
+    def test_mark_helpers_post_one_item_batches(self, two_cluster_data):
         data, labels = two_cluster_data
         server = start_background(SessionManager({"two": data}))
         rows = [int(r) for r in np.flatnonzero(labels == 0)]
         try:
-            client = ServiceClient(server.base_url, api_version=None)
-            assert client.prefix == ""
+            client = ServiceClient(server.base_url)
             sid = client.create_session("two")
             stats = client.mark_cluster(sid, rows, label="left")
-            assert stats["feedback"] == ["left"]
+            assert stats["applied"] == ["left"]
             stats = client.mark_view_selection(sid, rows, label="left-2d")
             assert stats["feedback"] == ["left", "left-2d"]
-            assert client.view(sid)["top_score"] >= 0.0
             assert client.undo(sid) == "left-2d"
         finally:
             server.stop()

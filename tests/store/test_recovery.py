@@ -189,7 +189,8 @@ class TestApiErrorKind:
             SessionManager({"small": small_data}, store=RottenStore())
         )
         status, payload, kind = api._dispatch(
-            "GET", "/v1/sessions/ghost/view", {}, {}
+            "GET", "/v1/sessions/ghost/view",
+            "/v1/sessions/{id}/view", "ghost", {}, {},
         )
         assert status == 500
         assert kind == "corrupt_store"
@@ -201,7 +202,8 @@ class TestApiErrorKind:
 
         api = ServiceAPI(SessionManager({"small": small_data}))
         status, payload, kind = api._dispatch(
-            "POST", "/v1/sessions", {"dataset": "small", "session_id": "../evil"}, {}
+            "POST", "/v1/sessions", "/v1/sessions", None,
+            {"dataset": "small", "session_id": "../evil"}, {},
         )
         assert status == 400
         assert kind == "bad_request"

@@ -88,24 +88,6 @@ def fit_counter(monkeypatch):
 
 
 class TestApply:
-    def test_apply_matches_legacy_wrapper(self, two_cluster_data):
-        data, labels = two_cluster_data
-        rows = tuple(int(r) for r in np.flatnonzero(labels == 0))
-
-        typed = ExplorationSession(data, seed=0)
-        typed.current_view()
-        typed.apply(ClusterFeedback(rows=rows, label="left"))
-
-        legacy = ExplorationSession(data, seed=0)
-        legacy.current_view()
-        with pytest.warns(DeprecationWarning):
-            legacy.mark_cluster(rows, label="left")
-
-        assert typed.feedback_groups == legacy.feedback_groups
-        np.testing.assert_array_equal(
-            typed.current_view().axes, legacy.current_view().axes
-        )
-
     def test_auto_labels_match_legacy_scheme(self, two_cluster_data):
         data, _ = two_cluster_data
         session = ExplorationSession(data, seed=0)
@@ -216,10 +198,13 @@ class TestCheckpointRoundtrip:
         session.apply(ClusterFeedback(rows=(0, 1, 2), label="left"))
         payload = session_to_payload(session)
         del payload["feedback_log"]
-        payload["format"] = 1  # simulate a pre-vocabulary file
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps(payload))
+        with pytest.raises(DataShapeError, match="feedback_log"):
+            load_session(data, path, seed=0)
 
-        restored = load_session(data, path, seed=0)
-        assert restored.feedback_log == ()  # best effort: log not stored
-        assert restored.undo_last_feedback() == "left"  # undo stack intact
+        # Format-1 (pre-vocabulary) files are no longer read at all.
+        payload["format"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataShapeError, match="unsupported session format"):
+            load_session(data, path, seed=0)

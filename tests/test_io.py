@@ -7,6 +7,7 @@ from repro.core.background import BackgroundModel
 from repro.core.constraint import Constraint, ConstraintKind
 from repro.core.session import ExplorationSession
 from repro.errors import DataShapeError
+from repro.feedback import ClusterFeedback
 from repro.io import (
     constraint_from_dict,
     constraint_to_dict,
@@ -56,8 +57,8 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, objective="pca", seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
-        session.mark_cluster(np.flatnonzero(labels == 1), label="right")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1), label="right"))
         path = tmp_path / "session.json"
         save_session(session, path)
 
@@ -106,7 +107,7 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="blob-a")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="blob-a"))
         session.current_view()
         path = tmp_path / "session.json"
         save_session(session, path)
@@ -140,8 +141,8 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
-        session.mark_cluster(np.flatnonzero(labels == 1), label="right")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1), label="right"))
         path = tmp_path / "session.json"
         save_session(session, path)
 
@@ -159,17 +160,17 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
         path = tmp_path / "session.json"
         save_session(session, path)
         payload = json.loads(path.read_text())
-        del payload["feedback_groups"]  # simulate a pre-undo-stack file
+        del payload["feedback_groups"]  # a pre-undo-stack file
         path.write_text(json.dumps(payload))
 
-        restored = load_session(data, path, seed=0)
-        # Best-effort grouping by label prefix recovers the one action.
-        assert restored.undo_last_feedback() == "left"
-        assert restored.model.n_constraints == 0
+        # Format 2 always writes the undo stack; a file without one is
+        # malformed, not something to guess an undo stack for.
+        with pytest.raises(DataShapeError, match="feedback_groups"):
+            load_session(data, path, seed=0)
 
     def test_corrupt_feedback_groups_rejected(
         self, two_cluster_data, tmp_path
@@ -179,7 +180,7 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
         path = tmp_path / "session.json"
         save_session(session, path)
         payload = json.loads(path.read_text())
